@@ -45,13 +45,14 @@ lint-fix-audit:
 checks-test:
 	$(GO) test -race -tags bionav_checks ./...
 
-# Short fuzz runs of the differential Opt-EdgeCut and PolyCut targets
-# and the hierarchy serialization round-trip — CI-sized smoke, not a
-# campaign.
+# Short fuzz runs of the differential Opt-EdgeCut and PolyCut targets,
+# the hierarchy serialization round-trip and the record-log scanner
+# shared by the store and the journal — CI-sized smoke, not a campaign.
 fuzz-smoke:
 	$(GO) test -run FuzzOptEdgeCut -fuzz FuzzOptEdgeCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzPolyCut -fuzz FuzzPolyCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzHierarchySerialization -fuzz FuzzHierarchySerialization -fuzztime 10s ./internal/hierarchy
+	$(GO) test -run FuzzScan -fuzz FuzzScan -fuzztime 10s ./internal/recordlog
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' ./...
@@ -85,12 +86,12 @@ parallel-test:
 
 # Live-corpus gate: the incremental-ingest layer raced end to end —
 # copy-on-write snapshot/index/corpus deltas, ingest-log durability and
-# replay, codec strict-ascent validation, torn-tail accounting,
-# last-wins upserts, epoch-keyed nav-cache invalidation, the pinned
-# mid-session acceptance contract, and recovery epoch misses
-# (DESIGN.md §12, docs/RESILIENCE.md §5).
+# replay, codec strict-ascent validation, torn-tail accounting at every
+# crash point of the ingest log, last-wins upserts, epoch-keyed nav-cache
+# invalidation, the pinned mid-session acceptance contract, and recovery
+# epoch misses (DESIGN.md §12, docs/RESILIENCE.md §5).
 ingest-test:
-	$(GO) test -race -run 'Ingest|Snapshot|Epoch|CitationCodec|CitationReader|LastWin|TornTail|Delta|Apply' \
+	$(GO) test -race -run 'Ingest|Snapshot|Epoch|CitationCodec|OpenLive|LastWin|TornTail|Delta|Apply' \
 		./internal/store ./internal/index ./internal/corpus ./internal/navtree ./internal/server
 
 # Load-harness gate: the fixed-seed open-loop smoke (nonzero successes,
@@ -118,7 +119,7 @@ bench-json:
 	$(GO) test -json -bench=. -benchmem -run='^$$' ./internal/core . > BENCH_core.json
 	$(GO) test -json -bench='BenchmarkSessionReplay' -run='^$$' ./internal/navigate >> BENCH_core.json
 	GOMAXPROCS=4 $(GO) test -json -bench='BenchmarkSolveComponents' -run='^$$' ./internal/core >> BENCH_core.json
-	$(GO) test -json -bench='BenchmarkIngest|BenchmarkCitationReaderGet' -run='^$$' ./internal/store >> BENCH_core.json
+	$(GO) test -json -bench='BenchmarkIngest' -run='^$$' ./internal/store >> BENCH_core.json
 	$(GO) run ./cmd/bionav-benchcheck BENCH_core.json
 
 # JSONL guard for recorded benchmark baselines: every line of every

@@ -123,9 +123,7 @@ var metricCatalog = []struct{ name, kind string }{
 	{"bionav_anytime_improvements_total", "counter"},
 	{"bionav_anytime_rounds", "histogram"},
 	{"bionav_build_info", "gauge"},
-	{"bionav_citation_cache_hits_total", "counter"},
 	{"bionav_cut_grade_total", "counter"},
-	{"bionav_citation_cache_misses_total", "counter"},
 	{"bionav_dataset_epoch", "gauge"},
 	{"bionav_dp_aborts_total", "counter"},
 	{"bionav_dp_fold_steps_total", "counter"},
@@ -148,7 +146,7 @@ var metricCatalog = []struct{ name, kind string }{
 	{"bionav_journal_bytes_total", "counter"},
 	{"bionav_journal_fsync_errors_total", "counter"},
 	{"bionav_journal_fsyncs_total", "counter"},
-	{"bionav_journal_torn_tails_total", "counter"},
+	{"bionav_log_torn_tails_total", "counter"},
 	{"bionav_navcache_coalesced_total", "counter"},
 	{"bionav_navcache_evictions_total", "counter"},
 	{"bionav_navcache_hits_total", "counter"},
@@ -170,7 +168,6 @@ var metricCatalog = []struct{ name, kind string }{
 	{"bionav_solver_cache_misses_total", "counter"},
 	{"bionav_store_load_seconds", "histogram"},
 	{"bionav_store_loads_total", "counter"},
-	{"bionav_store_torn_tails_total", "counter"},
 	{"bionav_traces_sampled_total", "counter"},
 }
 

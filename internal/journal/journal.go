@@ -4,21 +4,18 @@
 // crash, deploy, or kill -9 (docs/RESILIENCE.md §5).
 //
 // On disk the journal is a directory of rotating segment files
-// (journal-NNNNNNNN.wal). Each segment starts with an 8-byte magic and then
-// carries length-prefixed, CRC32-framed JSON records:
-//
-//	[4-byte LE payload length][4-byte LE IEEE CRC32 of payload][payload]
-//
-// Appends go to the newest segment; when it exceeds Options.SegmentBytes a
-// fresh segment is opened. Durability is tunable with Options.Fsync:
-// FsyncAlways syncs after every append (an acknowledged record survives
-// kill -9), FsyncInterval syncs on a background ticker (bounded loss
-// window), FsyncOff leaves syncing to the OS.
+// (journal-NNNNNNNN.wal), each a record log in the internal/recordlog
+// format carrying one JSON record per frame. Appends go to the newest
+// segment; when it exceeds Options.SegmentBytes a fresh segment is
+// opened. Durability is tunable with Options.Fsync: FsyncAlways syncs
+// after every append (an acknowledged record survives kill -9),
+// FsyncInterval syncs on a background ticker (bounded loss window),
+// FsyncOff leaves syncing to the OS.
 //
 // Open scans the existing segments before accepting appends and keeps the
-// longest valid record prefix: the first bad frame — torn tail from a
-// crash mid-write, short file, CRC mismatch, insane length — truncates its
-// segment at the frame boundary, and any later segments (which would hold
+// longest valid record prefix: the first bad frame — torn or corrupt in
+// recordlog's terms, or framed but not a Record — truncates its segment
+// at the frame boundary, and any later segments (which would hold
 // records appended after the corruption point) are dropped. Scanning never
 // fails recovery; it only shortens it. The surviving records are exposed
 // via Recovered for the server to rebuild sessions from.
@@ -30,11 +27,8 @@
 package journal
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -46,6 +40,7 @@ import (
 
 	"bionav/internal/faults"
 	"bionav/internal/obs"
+	"bionav/internal/recordlog"
 )
 
 // Fault sites armed by the resilience test suite (docs/RESILIENCE.md);
@@ -72,8 +67,7 @@ var (
 		"Journal fsyncs that failed (or were failed by an injected fault).")
 	metBytes = obs.Default.Counter("bionav_journal_bytes_total",
 		"Framed bytes appended to journal segments.")
-	metTornTails = obs.Default.Counter("bionav_journal_torn_tails_total",
-		"Segment truncations at a bad frame during journal recovery scans.")
+	metTornTails = recordlog.TornTails.With("journal")
 )
 
 // Record types.
@@ -145,26 +139,17 @@ func (o *Options) fill() {
 	}
 }
 
-// Segment framing constants.
-const (
-	segMagic    = "BNAVWAL1"
-	frameHeader = 8 // 4-byte length + 4-byte CRC32
-	// maxFrame bounds a single record; a length beyond it marks the frame
-	// (and everything after) as garbage during a scan.
-	maxFrame = 16 << 20
-)
-
 // Journal is an open session write-ahead log. Safe for concurrent use.
 type Journal struct {
 	dir  string
 	opts Options
 
 	mu     sync.Mutex
-	f      *os.File // guarded by mu; current segment, nil after Close
-	seg    int      // guarded by mu; current segment index
-	size   int64    // guarded by mu; bytes written to the current segment
-	dirty  bool     // guarded by mu; unsynced appends (interval policy)
-	closed bool     // guarded by mu
+	w      *recordlog.Writer // guarded by mu; current segment, nil after Close
+	seg    int               // guarded by mu; current segment index
+	size   int64             // guarded by mu; bytes written to the current segment
+	dirty  bool              // guarded by mu; unsynced appends (interval policy)
+	closed bool              // guarded by mu
 
 	// Recovery state: filled during the Open scan, read by Recovered and
 	// TornTails, reset by Checkpoint — the accessors race with a concurrent
@@ -193,7 +178,7 @@ func Open(dir string, opts Options) (*Journal, error) {
 	last := 0
 	for i, seg := range segs {
 		last = seg
-		recs, clean := j.scanSegment(seg)
+		recs, clean := j.recoverSegment(seg)
 		j.recovered = append(j.recovered, recs...)
 		if !clean && i < len(segs)-1 {
 			// Records in later segments were appended after the corruption
@@ -237,8 +222,11 @@ func (j *Journal) Dir() string { return j.dir }
 
 // Append writes one record and, under FsyncAlways, syncs it to stable
 // storage before returning — a nil error then means the record survives
-// kill -9. Errors leave the journal usable: a failed append is dropped
-// (counted and logged), not retried, and later appends proceed.
+// kill -9. A failed append is dropped (counted), not retried. Injected
+// faults leave the journal usable; a real write or fsync failure poisons
+// the current segment, so later appends fail until a Checkpoint or a
+// restart opens a fresh one — after a failed fsync the kernel may have
+// dropped the data, and later records must not land behind a hole.
 func (j *Journal) Append(rec Record) error {
 	if err := faults.Inject(SiteAppend); err != nil {
 		metAppendErrors.Inc()
@@ -249,10 +237,7 @@ func (j *Journal) Append(rec Record) error {
 		metAppendErrors.Inc()
 		return fmt.Errorf("journal: append: marshal: %w", err)
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	copy(frame[frameHeader:], payload)
+	frame := int64(recordlog.HeaderSize + len(payload))
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -260,20 +245,21 @@ func (j *Journal) Append(rec Record) error {
 		metAppendErrors.Inc()
 		return fmt.Errorf("journal: append: %w", errClosed)
 	}
-	if j.size+int64(len(frame)) > j.opts.SegmentBytes && j.size > int64(len(segMagic)) {
+	if j.size+frame > j.opts.SegmentBytes && j.size > int64(len(recordlog.Magic)) {
 		if err := j.openSegmentLocked(j.seg + 1); err != nil {
 			metAppendErrors.Inc()
 			return err
 		}
 	}
-	if _, err := j.f.Write(frame); err != nil {
+	// One write per record: a process crash loses at most the record in
+	// flight, whatever the fsync policy.
+	if err := j.writeLocked(payload); err != nil {
 		metAppendErrors.Inc()
-		return fmt.Errorf("journal: append: write %s: %w", j.f.Name(), err)
+		return fmt.Errorf("journal: append: %w", err)
 	}
-	j.size += int64(len(frame))
 	j.dirty = true
 	metAppends.Inc()
-	metBytes.Add(uint64(len(frame)))
+	metBytes.Add(uint64(frame))
 	if j.opts.Fsync == FsyncAlways {
 		if err := j.syncLocked(); err != nil {
 			return fmt.Errorf("journal: append: %w", err)
@@ -307,14 +293,9 @@ func (j *Journal) Checkpoint(snapshot []Record) error {
 		if err != nil {
 			return fmt.Errorf("journal: checkpoint: marshal: %w", err)
 		}
-		frame := make([]byte, frameHeader+len(payload))
-		binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-		copy(frame[frameHeader:], payload)
-		if _, err := j.f.Write(frame); err != nil {
-			return fmt.Errorf("journal: checkpoint: write: %w", err)
+		if err := j.writeLocked(payload); err != nil {
+			return fmt.Errorf("journal: checkpoint: %w", err)
 		}
-		j.size += int64(len(frame))
 	}
 	// A checkpoint that isn't durable is a data-loss amplifier: the old
 	// segments are about to be deleted, so the new one must be on disk
@@ -349,24 +330,37 @@ func (j *Journal) Close() error {
 	if j.opts.Fsync != FsyncOff && j.dirty {
 		err = j.syncLocked()
 	}
-	if cerr := j.f.Close(); cerr != nil && err == nil {
+	if cerr := j.w.Close(); cerr != nil && err == nil {
 		err = fmt.Errorf("journal: close: %w", cerr)
 	}
-	j.f = nil
+	j.w = nil
 	j.mu.Unlock()
 	j.wg.Wait()
 	return err
+}
+
+// writeLocked appends one frame to the current segment and writes it
+// through to the file; caller holds j.mu.
+func (j *Journal) writeLocked(payload []byte) error {
+	if err := j.w.Append(payload); err != nil {
+		return err
+	}
+	if err := j.w.Flush(); err != nil {
+		return err
+	}
+	j.size += int64(recordlog.HeaderSize + len(payload))
+	return nil
 }
 
 // syncLocked fsyncs the current segment; caller holds j.mu.
 func (j *Journal) syncLocked() error {
 	if err := faults.Inject(SiteFsync); err != nil {
 		metFsyncErrors.Inc()
-		return fmt.Errorf("fsync %s: %w", j.f.Name(), err)
+		return fmt.Errorf("fsync %s: %w", j.segPath(j.seg), err)
 	}
-	if err := j.f.Sync(); err != nil {
+	if err := j.w.Sync(); err != nil {
 		metFsyncErrors.Inc()
-		return fmt.Errorf("fsync %s: %w", j.f.Name(), err)
+		return err
 	}
 	metFsyncs.Inc()
 	j.dirty = false
@@ -402,15 +396,11 @@ func (j *Journal) openSegment(seg int) error {
 }
 
 func (j *Journal) openSegmentLocked(seg int) error {
-	f, err := os.OpenFile(j.segPath(seg), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	w, err := recordlog.Create(j.segPath(seg))
 	if err != nil {
 		return fmt.Errorf("journal: open segment: %w", err)
 	}
-	if _, err := f.WriteString(segMagic); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: open segment: write magic: %w", err)
-	}
-	if j.f != nil {
+	if j.w != nil {
 		// The retiring segment is done receiving appends; make it durable
 		// before moving on so rotation never widens the loss window.
 		if j.opts.Fsync != FsyncOff {
@@ -418,11 +408,11 @@ func (j *Journal) openSegmentLocked(seg int) error {
 				j.logWarn("rotating segment fsync failed", "error", err)
 			}
 		}
-		_ = j.f.Close()
+		_ = j.w.Close()
 	}
-	j.f = f
+	j.w = w
 	j.seg = seg
-	j.size = int64(len(segMagic))
+	j.size = int64(len(recordlog.Magic))
 	j.dirty = j.opts.Fsync != FsyncOff // magic itself is unsynced
 	return nil
 }
@@ -453,9 +443,9 @@ func (j *Journal) segments() ([]int, error) {
 	return out, nil
 }
 
-// scanSegment reads one segment's records, stopping — and truncating — at
-// the first bad frame. clean reports whether the whole segment parsed.
-func (j *Journal) scanSegment(seg int) (recs []Record, clean bool) {
+// recoverSegment reads one segment's records, stopping — and truncating —
+// at the first bad frame. clean reports whether the whole segment parsed.
+func (j *Journal) recoverSegment(seg int) (recs []Record, clean bool) {
 	path := j.segPath(seg)
 	f, err := os.Open(path)
 	if err != nil {
@@ -463,60 +453,38 @@ func (j *Journal) scanSegment(seg int) (recs []Record, clean bool) {
 		return nil, false
 	}
 	defer f.Close()
-
-	magic := make([]byte, len(segMagic))
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != segMagic {
-		j.logWarn("recovery: bad segment magic", "segment", path)
-		j.truncate(path, 0)
-		return nil, false
-	}
-	offset := int64(len(segMagic))
-	header := make([]byte, frameHeader)
-	for {
-		if _, err := io.ReadFull(f, header); err != nil {
-			if err == io.EOF {
-				return recs, true // clean end of segment
-			}
-			// Torn frame header: the crash hit mid-write.
-			j.truncate(path, offset)
-			return recs, false
-		}
-		length := binary.LittleEndian.Uint32(header[0:4])
-		sum := binary.LittleEndian.Uint32(header[4:8])
-		if length == 0 || length > maxFrame {
-			j.truncate(path, offset)
-			return recs, false
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(f, payload); err != nil {
-			j.truncate(path, offset)
-			return recs, false
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			j.truncate(path, offset)
-			return recs, false
-		}
+	end, torn, err := recordlog.Scan(f, func(payload []byte, _ int64) error {
 		var rec Record
 		if err := json.Unmarshal(payload, &rec); err != nil {
-			// Framed correctly but not a record: corruption predating the
-			// frame, same rule applies.
-			j.truncate(path, offset)
-			return recs, false
+			return err // framed correctly but not a record: same rule
 		}
 		recs = append(recs, rec)
-		offset += int64(frameHeader) + int64(length)
+		return nil
+	})
+	if err == nil && !torn {
+		return recs, true
 	}
+	j.truncate(path, end, err)
+	return recs, false
 }
 
 // truncate cuts a scanned segment at the last good frame boundary,
-// discarding the torn tail so the next scan is clean.
-func (j *Journal) truncate(path string, offset int64) {
+// discarding the bad tail so the next scan is clean; a segment without
+// even a valid magic (torn at creation, or a pre-recordlog BNAVWAL1
+// segment) is removed. cause is the scan error, nil for a torn tail.
+func (j *Journal) truncate(path string, offset int64, cause error) {
 	j.mu.Lock()
 	j.tornTails++
 	j.mu.Unlock()
 	metTornTails.Inc()
-	j.logWarn("recovery: truncating torn tail", "segment", path, "offset", offset)
-	if err := os.Truncate(path, offset); err != nil {
+	j.logWarn("recovery: truncating torn tail", "segment", path, "offset", offset, "cause", cause)
+	var err error
+	if offset == 0 {
+		err = os.Remove(path)
+	} else {
+		err = os.Truncate(path, offset)
+	}
+	if err != nil {
 		j.logWarn("recovery: truncate failed", "segment", path, "error", err)
 	}
 }

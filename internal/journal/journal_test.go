@@ -7,8 +7,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
+
+	"bionav/internal/recordlog"
 )
 
 func mustOpen(t *testing.T, dir string, opts Options) *Journal {
@@ -109,7 +112,7 @@ func newestSegment(t *testing.T, dir string) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Size() > int64(len(segMagic)) && (newest == "" || p > newest) {
+		if st.Size() > int64(len(recordlog.Magic)) && (newest == "" || p > newest) {
 			newest, size = p, st.Size()
 		}
 	}
@@ -197,9 +200,9 @@ func TestMidJournalCorruptionDropsLaterSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	firstLen := binary.LittleEndian.Uint32(b[len(segMagic):])
-	off := len(segMagic) + frameHeader + int(firstLen)
-	binary.LittleEndian.PutUint32(b[off:], maxFrame+1)
+	firstLen := binary.LittleEndian.Uint32(b[len(recordlog.Magic):])
+	off := len(recordlog.Magic) + recordlog.HeaderSize + int(firstLen)
+	binary.LittleEndian.PutUint32(b[off:], recordlog.MaxRecord+1)
 	if err := os.WriteFile(first, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -215,6 +218,134 @@ func TestMidJournalCorruptionDropsLaterSegments(t *testing.T) {
 	// Only the truncated first segment and the freshly opened one remain.
 	if len(segs2) != 2 {
 		t.Fatalf("later segments not dropped: %v", segs2)
+	}
+}
+
+// TestZeroFilledTail: zero bytes the file system appended without their
+// data are a torn tail — recovery keeps every record before them, counts
+// one torn tail, and cuts the zeroes off.
+func TestZeroFilledTail(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Fsync: FsyncAlways})
+	appendN(t, j, 2)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := newestSegment(t, dir)
+	intact, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(seg, append(intact, make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2 := mustOpen(t, dir, Options{})
+	if len(j2.Recovered()) != 2 || j2.TornTails() != 1 {
+		t.Fatalf("recovered %d records, %d torn tails; want 2, 1", len(j2.Recovered()), j2.TornTails())
+	}
+	if fi, err := os.Stat(seg); err != nil || fi.Size() != int64(len(intact)) {
+		t.Fatalf("segment not cut back to %d bytes: %v", len(intact), err)
+	}
+	if err := j2.Append(rec(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j3 := mustOpen(t, dir, Options{})
+	if len(j3.Recovered()) != 3 || j3.TornTails() != 0 {
+		t.Fatalf("after the next append: %d records, %d torn tails; want 3, 0", len(j3.Recovered()), j3.TornTails())
+	}
+}
+
+// TestEveryCrashPoint cuts a segment at every byte from the end of its
+// magic to EOF: each cut must recover exactly the records whose frames
+// end at or before it, counting a torn tail exactly when the cut falls
+// inside a frame.
+func TestEveryCrashPoint(t *testing.T) {
+	dir := t.TempDir()
+	j := mustOpen(t, dir, Options{Fsync: FsyncOff})
+	var ends []int64 // segment size after each record
+	for i, n := range []int{1, 40, 3, 200, 17} {
+		r := Record{Type: TypeCreate, Session: fmt.Sprintf("s%08d", i), Keywords: strings.Repeat("k", n)}
+		if err := j.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		j.mu.Lock()
+		ends = append(ends, j.size)
+		j.mu.Unlock()
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := j.segPath(1)
+	full, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(full)) != ends[len(ends)-1] {
+		t.Fatalf("segment is %d bytes, want %d", len(full), ends[len(ends)-1])
+	}
+
+	for cut := len(recordlog.Magic); cut <= len(full); cut++ {
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(seg, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		whole, edge := 0, int64(len(recordlog.Magic))
+		for _, e := range ends {
+			if e <= int64(cut) {
+				whole, edge = whole+1, e
+			}
+		}
+		torn := 0
+		if edge != int64(cut) {
+			torn = 1
+		}
+		j, err := Open(dir, Options{Fsync: FsyncOff})
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		if len(j.Recovered()) != whole || j.TornTails() != torn {
+			t.Fatalf("cut=%d: recovered %d records, %d torn tails; want %d, %d",
+				cut, len(j.Recovered()), j.TornTails(), whole, torn)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestLegacySegmentDropped: a segment in the journal's pre-recordlog
+// format (BNAVWAL1 magic, IEEE CRC frames) has no readable magic, so
+// recovery counts it as one torn tail and removes it; the next open is
+// clean.
+func TestLegacySegmentDropped(t *testing.T) {
+	dir := t.TempDir()
+	legacy := []byte("BNAVWAL1\x05\x00\x00\x00\x86\xa6\x10\x36hello")
+	seg := filepath.Join(dir, "journal-00000001.wal")
+	if err := os.WriteFile(seg, legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j := mustOpen(t, dir, Options{})
+	if len(j.Recovered()) != 0 || j.TornTails() != 1 {
+		t.Fatalf("recovered %d records, %d torn tails; want 0, 1", len(j.Recovered()), j.TornTails())
+	}
+	if _, err := os.Stat(seg); !os.IsNotExist(err) {
+		t.Fatalf("legacy segment not removed: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2 := mustOpen(t, dir, Options{})
+	if j2.TornTails() != 0 {
+		t.Fatalf("second open counted %d torn tails, want 0", j2.TornTails())
 	}
 }
 

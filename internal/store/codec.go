@@ -1,9 +1,10 @@
 // Package store implements the embedded BioNav database (§VII): a
-// directory of append-only binary table files with CRC-framed records,
-// crash-truncation recovery, and a varint record codec. The paper keeps the
-// MeSH hierarchy and the denormalized citation→concepts association table
-// in Oracle; this package plays that role with a pure-Go, stdlib-only
-// log-structured store.
+// directory of append-only table files in the internal/recordlog format,
+// a varint record codec, and the live corpus — versioned snapshots fed by
+// a write-ahead ingest log. The paper keeps the MeSH hierarchy and the
+// denormalized citation→concepts association table in Oracle; this
+// package plays that role with a pure-Go, stdlib-only log-structured
+// store.
 package store
 
 import (

@@ -1,17 +1,21 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
 	"strings"
+
+	"bionav/internal/recordlog"
 )
 
-// A DB is a directory of table files (<name>.tbl). Writing and reading are
-// separate phases, matching BioNav's off-line preprocessing / on-line
-// lookup split: a Writer creates tables once; Open then serves them.
+// A DB is a directory of table files (<name>.tbl), each a record log
+// (internal/recordlog). Writing and reading are separate phases, matching
+// BioNav's off-line preprocessing / on-line lookup split: a Writer creates
+// tables once; Open then serves them.
 
 const tableSuffix = ".tbl"
 
@@ -20,7 +24,7 @@ var tableNameRE = regexp.MustCompile(`^[a-z][a-z0-9_-]*$`)
 // Writer creates a database directory and its tables.
 type Writer struct {
 	dir    string
-	tables map[string]*LogWriter
+	tables map[string]*recordlog.Writer
 }
 
 // NewWriter prepares dir (creating it if needed) for table creation.
@@ -38,19 +42,19 @@ func NewWriter(dir string) (*Writer, error) {
 			return nil, fmt.Errorf("store: clean %s: %w", p, err)
 		}
 	}
-	return &Writer{dir: dir, tables: make(map[string]*LogWriter)}, nil
+	return &Writer{dir: dir, tables: make(map[string]*recordlog.Writer)}, nil
 }
 
 // CreateTable opens a new table for appending. Table names are restricted
 // to lowercase identifiers to keep paths portable.
-func (w *Writer) CreateTable(name string) (*LogWriter, error) {
+func (w *Writer) CreateTable(name string) (*recordlog.Writer, error) {
 	if !tableNameRE.MatchString(name) {
 		return nil, fmt.Errorf("store: invalid table name %q", name)
 	}
 	if _, dup := w.tables[name]; dup {
 		return nil, fmt.Errorf("store: table %q already created", name)
 	}
-	lw, err := CreateLog(filepath.Join(w.dir, name+tableSuffix))
+	lw, err := recordlog.Create(filepath.Join(w.dir, name+tableSuffix))
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +62,7 @@ func (w *Writer) CreateTable(name string) (*LogWriter, error) {
 	return lw, nil
 }
 
-// Close closes every table, reporting the first error.
+// Close fsyncs and closes every table, reporting the first error.
 func (w *Writer) Close() error {
 	names := make([]string, 0, len(w.tables))
 	for n := range w.tables {
@@ -67,7 +71,11 @@ func (w *Writer) Close() error {
 	sort.Strings(names)
 	var first error
 	for _, n := range names {
-		if err := w.tables[n].Close(); err != nil && first == nil {
+		err := w.tables[n].Sync()
+		if cerr := w.tables[n].Close(); err == nil {
+			err = cerr
+		}
+		if err != nil && first == nil {
 			first = err
 		}
 	}
@@ -108,10 +116,31 @@ func (db *DB) HasTable(name string) bool {
 }
 
 // ForEach streams every record of a table through fn. The payload slice is
-// reused; fn must copy data it retains.
+// reused; fn must copy data it retains. A torn final record is dropped
+// and counted (crash recovery); earlier damage is an error wrapping
+// ErrCorrupt.
 func (db *DB) ForEach(table string, fn func(payload []byte) error) error {
 	if !db.HasTable(table) {
 		return fmt.Errorf("store: no table %q in %s", table, db.dir)
 	}
-	return ReadLog(filepath.Join(db.dir, table+tableSuffix), fn)
+	path := filepath.Join(db.dir, table+tableSuffix)
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("store: open table: %w", err)
+	}
+	defer f.Close()
+	_, torn, err := recordlog.Scan(f, func(payload []byte, _ int64) error { return fn(payload) })
+	if torn {
+		tornTables.Inc()
+	}
+	return corruptErr(path, err)
+}
+
+// corruptErr applies the store's policy to a record-log scan error: a
+// damaged log is store corruption, and the error wraps ErrCorrupt.
+func corruptErr(path string, err error) error {
+	if errors.Is(err, recordlog.ErrCorrupt) {
+		return fmt.Errorf("%w: %s: %w", ErrCorrupt, path, err)
+	}
+	return err
 }

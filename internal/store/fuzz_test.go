@@ -1,10 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"bionav/internal/corpus"
@@ -134,39 +131,6 @@ func FuzzCitationCodec(f *testing.F) {
 			if back.Concepts[i] != c.Concepts[i] {
 				t.Fatalf("round trip changed concept %d", i)
 			}
-		}
-	})
-}
-
-// FuzzReadLog feeds arbitrary files to the table-log reader: it must never
-// panic, and any error must wrap ErrCorrupt (torn tails return nil).
-func FuzzReadLog(f *testing.F) {
-	// Seed with a valid two-record log.
-	dir := f.TempDir()
-	path := filepath.Join(dir, "seed.tbl")
-	w, err := CreateLog(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	_ = w.Append([]byte("hello"))
-	_ = w.Append(bytes.Repeat([]byte{7}, 100))
-	_ = w.Close()
-	valid, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(valid)
-	f.Add([]byte("BNT1"))
-	f.Add([]byte("XXXX"))
-	f.Add(valid[:len(valid)-3])
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		p := filepath.Join(t.TempDir(), "f.tbl")
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if err := ReadLog(p, func([]byte) error { return nil }); err != nil {
-			requireCorrupt(t, err)
 		}
 	})
 }

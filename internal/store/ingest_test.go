@@ -11,6 +11,7 @@ import (
 	"bionav/internal/corpus"
 	"bionav/internal/faults"
 	"bionav/internal/hierarchy"
+	"bionav/internal/recordlog"
 )
 
 // ingestCitation builds a batch citation annotating the given (ascending)
@@ -225,24 +226,6 @@ func TestLiveIngestPersistsAndReplays(t *testing.T) {
 		t.Fatalf("Search(quokka) = %v", got)
 	}
 
-	// A CitationReader opened over the directory serves the ingested
-	// citations, base/ingest-log duplicates resolving last-wins (upsert).
-	r, err := OpenCitationReader(dir, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if r.Len() != ds.Corpus.Len()+2 {
-		t.Fatalf("reader indexed %d citations, want %d", r.Len(), ds.Corpus.Len()+2)
-	}
-	c, err := r.Get(900020)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c.Concepts) != 3 || c.Terms[0] != "pangolinv2" {
-		t.Fatalf("reader served a stale version: %+v", c)
-	}
-
 	// Appending after reopen continues the epoch sequence.
 	sn, err = re.Ingest([]corpus.Citation{ingestCitation(900022, "kakapo", 5)})
 	if err != nil {
@@ -283,13 +266,13 @@ func TestOpenLiveTruncatesTornIngestTail(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	before := storeTornTails.Value()
+	before := tornIngest.Value()
 	re, err := OpenLive(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	if got := storeTornTails.Value(); got != before+1 {
+	if got := tornIngest.Value(); got != before+1 {
 		t.Fatalf("torn-tail counter %d, want %d", got, before+1)
 	}
 	cur := re.Current()
@@ -306,6 +289,142 @@ func TestOpenLiveTruncatesTornIngestTail(t *testing.T) {
 	}
 	if sn.Epoch != 2 {
 		t.Fatalf("epoch %d after post-truncation ingest, want 2", sn.Epoch)
+	}
+}
+
+// TestOpenLiveZeroFilledTail: a tail the file system extended with zero
+// bytes that were never written (a crash after the size update, before
+// the data) is a torn tail, not corruption. The server must still start,
+// at the acknowledged epoch, with the zeroes cut off.
+func TestOpenLiveZeroFilledTail(t *testing.T) {
+	ds := testDataset(t)
+	dir := t.TempDir()
+	if err := ds.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	live, err := OpenLive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, term := range []string{"tapir", "tenrec"} {
+		if _, err := live.Ingest([]corpus.Citation{ingestCitation(int64(900050+i), term, 1+i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, tableIngest+tableSuffix)
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(intact, make([]byte, 4096)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := tornIngest.Value()
+	re, err := OpenLive(dir)
+	if err != nil {
+		t.Fatalf("OpenLive over a zero-filled tail: %v", err)
+	}
+	defer re.Close()
+	if got := re.Current().Epoch; got != 2 {
+		t.Fatalf("epoch %d, want 2", got)
+	}
+	if got := tornIngest.Value() - before; got != 1 {
+		t.Fatalf("counted %d torn tails, want 1", got)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != int64(len(intact)) {
+		t.Fatalf("log is %d bytes, want %d: not truncated at the frame edge", fi.Size(), len(intact))
+	}
+	sn, err := re.Ingest([]corpus.Citation{ingestCitation(900052, "tuatara", 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sn.Epoch != 3 {
+		t.Fatalf("epoch %d after the next ingest, want 3", sn.Epoch)
+	}
+}
+
+// TestOpenLiveEveryCrashPoint cuts the ingest log at every byte from the
+// end of its magic to EOF. Each cut must open at the epoch of the whole
+// batch frames before it, count a torn tail exactly when the cut falls
+// inside a frame, and leave the log truncated at the last frame edge.
+func TestOpenLiveEveryCrashPoint(t *testing.T) {
+	ds := testDatasetSized(t, 60, 20)
+	dir := t.TempDir()
+	if err := ds.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, tableIngest+tableSuffix)
+	live, err := OpenLive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]corpus.Citation{
+		{ingestCitation(900060, "aardvark", 1)},
+		{ingestCitation(900061, "bilby", 2, 3), ingestCitation(900062, "civet", 4), ingestCitation(900060, "aardvark2", 5)},
+		{ingestCitation(900063, "dhole", 1, 5)},
+	}
+	var ends []int64 // log size after each acknowledged batch
+	for _, b := range batches {
+		if _, err := live.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ends = append(ends, fi.Size())
+	}
+	if err := live.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for cut := len(recordlog.Magic); cut <= len(full); cut++ {
+		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		whole, edge := 0, int64(len(recordlog.Magic))
+		for _, e := range ends {
+			if e <= int64(cut) {
+				whole, edge = whole+1, e
+			}
+		}
+		before := tornIngest.Value()
+		re, err := OpenLive(dir)
+		if err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		if got := re.Current().Epoch; got != uint64(whole) {
+			t.Fatalf("cut=%d: epoch %d, want %d", cut, got, whole)
+		}
+		wantTorn := uint64(0)
+		if edge != int64(cut) {
+			wantTorn = 1
+		}
+		if got := tornIngest.Value() - before; got != wantTorn {
+			t.Fatalf("cut=%d: counted %d torn tails, want %d", cut, got, wantTorn)
+		}
+		if err := re.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != edge {
+			t.Fatalf("cut=%d: log is %d bytes after open, want %d", cut, fi.Size(), edge)
+		}
 	}
 }
 
@@ -338,10 +457,9 @@ func TestFaultIngest(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadAndIngest races point lookups and snapshot readers
-// against a stream of ingest swaps (run under -race in `make ingest-test`):
-// CitationReader.Get ReadAts the log files while Live appends to them, and
-// Current readers must only ever observe fully published epochs.
+// TestConcurrentReadAndIngest races snapshot readers against a stream of
+// ingest swaps (run under -race in `make ingest-test`): Current readers
+// must only ever observe fully published epochs.
 func TestConcurrentReadAndIngest(t *testing.T) {
 	ds := testDataset(t)
 	dir := t.TempDir()
@@ -353,29 +471,19 @@ func TestConcurrentReadAndIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer live.Close()
-	r, err := OpenCitationReader(dir, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
 
 	const batches = 40
-	ids := ds.Corpus.IDs()
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			for i := 0; ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
 				default:
-				}
-				if _, err := r.Get(ids[(g*31+i)%len(ids)]); err != nil {
-					t.Errorf("Get: %v", err)
-					return
 				}
 				cur := live.Current()
 				if cur.Corpus.Len() < ds.Corpus.Len() {
@@ -383,7 +491,7 @@ func TestConcurrentReadAndIngest(t *testing.T) {
 					return
 				}
 			}
-		}(g)
+		}()
 	}
 	var last uint64
 	for i := 0; i < batches; i++ {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -10,6 +9,7 @@ import (
 	"bionav/internal/corpus"
 	"bionav/internal/faults"
 	"bionav/internal/obs"
+	"bionav/internal/recordlog"
 )
 
 // tableIngest is the append-only batch log of a live database directory.
@@ -28,7 +28,7 @@ type Live struct {
 	dir string // database directory; "" = memory-only (no persistence)
 
 	mu  sync.Mutex
-	log *LogWriter // guarded by mu; nil when memory-only
+	log *recordlog.Writer // guarded by mu; nil when memory-only
 
 	cur atomic.Pointer[Snapshot]
 }
@@ -44,8 +44,9 @@ func NewLive(ds *Dataset) *Live {
 
 // OpenLive loads the dataset from dir and replays its ingest log, batch
 // by batch, through Snapshot.Ingest — arriving at the same epoch the
-// directory last served — then opens the log for appending (truncating a
-// torn tail left by a crash mid-ingest).
+// directory last served — and leaves the log open for appending. The
+// replay and the truncation of a torn tail left by a crash mid-ingest
+// are one pass over the log.
 func OpenLive(dir string) (*Live, error) {
 	ds, err := LoadDataset(dir)
 	if err != nil {
@@ -53,29 +54,23 @@ func OpenLive(dir string) (*Live, error) {
 	}
 	snap := ds.Snapshot()
 	path := filepath.Join(dir, tableIngest+tableSuffix)
-	// A log shorter than its magic is the artifact of a crash right after
-	// creation: nothing was ever appended, so there is nothing to replay
-	// (OpenLogAppend below recreates it).
-	if fi, err := os.Stat(path); err == nil && fi.Size() >= int64(len(tableMagic)) {
-		err := ReadLog(path, func(payload []byte) error {
-			batch, derr := decodeIngestBatch(payload)
-			if derr != nil {
-				return derr
-			}
-			next, _, derr := snap.Ingest(batch)
-			if derr != nil {
-				return fmt.Errorf("store: replay ingest log: %w", derr)
-			}
-			snap = next
-			return nil
-		})
+	log, torn, err := recordlog.OpenAppend(path, func(payload []byte, _ int64) error {
+		batch, err := decodeIngestBatch(payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
-	}
-	log, err := OpenLogAppend(path)
+		next, _, err := snap.Ingest(batch)
+		if err != nil {
+			return fmt.Errorf("store: replay ingest log: %w", err)
+		}
+		snap = next
+		return nil
+	})
 	if err != nil {
-		return nil, err
+		return nil, corruptErr(path, err)
+	}
+	if torn {
+		tornIngest.Inc()
 	}
 	l := &Live{dir: dir, log: log}
 	l.cur.Store(snap)

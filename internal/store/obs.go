@@ -1,6 +1,9 @@
 package store
 
-import "bionav/internal/obs"
+import (
+	"bionav/internal/obs"
+	"bionav/internal/recordlog"
+)
 
 // Process-wide store metrics on the default registry
 // (docs/OBSERVABILITY.md catalogs them). LoadDataset and Ingest timing go
@@ -11,12 +14,8 @@ var (
 	storeLoadSeconds = obs.Default.Histogram("bionav_store_load_seconds",
 		"Wall time to load a dataset from disk.",
 		obs.ExponentialBuckets(0.01, 4, 6)) // 10ms … ~10s, then +Inf
-	citationCacheHits = obs.Default.Counter("bionav_citation_cache_hits_total",
-		"CitationReader point lookups served from the decoded-citation LRU.")
-	citationCacheMisses = obs.Default.Counter("bionav_citation_cache_misses_total",
-		"CitationReader point lookups that read and decoded from disk.")
-	storeTornTails = obs.Default.Counter("bionav_store_torn_tails_total",
-		"Torn table-log tails (crash artifacts) truncated while scanning store files.")
+	tornTables    = recordlog.TornTails.With("table")
+	tornIngest    = recordlog.TornTails.With("ingest")
 	ingestBatches = obs.Default.CounterVec("bionav_ingest_batches_total",
 		"Ingest batches by outcome (ok, error).", "outcome")
 	ingestCitations = obs.Default.Counter("bionav_ingest_citations_total",

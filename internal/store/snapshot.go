@@ -97,8 +97,7 @@ func (sn *Snapshot) Ingest(batch []corpus.Citation) (*Snapshot, IngestStats, err
 
 // The ingest log frames one record per batch: a citation count followed by
 // each citation as a length-prefixed sub-record (the same codec as the
-// citations table), so readers can locate individual citations inside a
-// frame without decoding their predecessors.
+// citations table).
 
 func encodeIngestBatch(batch []corpus.Citation) ([]byte, error) {
 	var enc, sub Encoder

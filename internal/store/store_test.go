@@ -96,30 +96,48 @@ func TestDecoderFinishDetectsTrailing(t *testing.T) {
 	}
 }
 
-func TestLogRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.tbl")
-	w, err := CreateLog(path)
+// writeTestTable writes payloads as table "x" of a fresh database
+// directory and returns the directory and the table file's path.
+func writeTestTable(t *testing.T, payloads ...[]byte) (dir, path string) {
+	t.Helper()
+	dir = t.TempDir()
+	w, err := NewWriter(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := [][]byte{[]byte("alpha"), {}, []byte("gamma with a longer payload")}
-	for _, rec := range want {
-		if err := w.Append(rec); err != nil {
+	tw, err := w.CreateTable("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range payloads {
+		if err := tw.Append(p); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if w.Records() != 3 {
-		t.Fatalf("Records = %d", w.Records())
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return dir, filepath.Join(dir, "x"+tableSuffix)
+}
 
+// readTestTable reads table "x" back through DB.ForEach.
+func readTestTable(dir string) ([][]byte, error) {
+	db, err := Open(dir)
+	if err != nil {
+		return nil, err
+	}
 	var got [][]byte
-	err = ReadLog(path, func(p []byte) error {
+	err = db.ForEach("x", func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
+	return got, err
+}
+
+func TestLogRoundTrip(t *testing.T) {
+	want := [][]byte{[]byte("alpha"), {0}, []byte("gamma with a longer payload")}
+	dir, _ := writeTestTable(t, want...)
+	got, err := readTestTable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,54 +152,40 @@ func TestLogRoundTrip(t *testing.T) {
 }
 
 func TestLogTornTailRecovered(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.tbl")
-	w, err := CreateLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var recs [][]byte
 	for i := 0; i < 5; i++ {
-		if err := w.Append([]byte("record-payload-0123456789")); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, []byte("record-payload-0123456789"))
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir, path := writeTestTable(t, recs...)
 	full, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Truncate at every possible byte boundary inside the last record; the
-	// reader must always recover the first four records and never error.
+	// reader must always recover the first four records, never error, and
+	// count the torn tail.
 	recSize := (len(full) - 4) / 5
 	for cut := len(full) - recSize + 1; cut < len(full); cut++ {
 		if err := os.WriteFile(path, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		n := 0
-		if err := ReadLog(path, func([]byte) error { n++; return nil }); err != nil {
+		before := tornTables.Value()
+		got, err := readTestTable(dir)
+		if err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)
 		}
-		if n != 4 {
-			t.Fatalf("cut=%d: recovered %d records, want 4", cut, n)
+		if len(got) != 4 {
+			t.Fatalf("cut=%d: recovered %d records, want 4", cut, len(got))
+		}
+		if n := tornTables.Value() - before; n != 1 {
+			t.Fatalf("cut=%d: counted %d torn tails, want 1", cut, n)
 		}
 	}
 }
 
 func TestLogMidFileCorruptionDetected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.tbl")
-	w, err := CreateLog(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := w.Append(bytes.Repeat([]byte{byte(i + 1)}, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
+	dir, path := writeTestTable(t,
+		bytes.Repeat([]byte{1}, 32), bytes.Repeat([]byte{2}, 32), bytes.Repeat([]byte{3}, 32))
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -191,18 +195,17 @@ func TestLogMidFileCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err = ReadLog(path, func([]byte) error { return nil })
-	if !errors.Is(err, ErrCorrupt) {
+	if _, err := readTestTable(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
 func TestLogBadMagic(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "x.tbl")
-	if err := os.WriteFile(path, []byte("XXXXjunk"), 0o644); err != nil {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "x"+tableSuffix), []byte("XXXXjunk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := ReadLog(path, func([]byte) error { return nil }); !errors.Is(err, ErrCorrupt) {
+	if _, err := readTestTable(dir); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
