@@ -45,12 +45,14 @@ lint-fix-audit:
 checks-test:
 	$(GO) test -race -tags bionav_checks ./...
 
-# Short fuzz runs of the differential Opt-EdgeCut and PolyCut targets,
-# the hierarchy serialization round-trip and the record-log scanner
-# shared by the store and the journal — CI-sized smoke, not a campaign.
+# Short fuzz runs of the differential Opt-EdgeCut, PolyCut and
+# k-partition targets, the hierarchy serialization round-trip and the
+# record-log scanner shared by the store and the journal — CI-sized
+# smoke, not a campaign.
 fuzz-smoke:
 	$(GO) test -run FuzzOptEdgeCut -fuzz FuzzOptEdgeCut -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzPolyCut -fuzz FuzzPolyCut -fuzztime 10s ./internal/core
+	$(GO) test -run FuzzKPartition -fuzz FuzzKPartition -fuzztime 10s ./internal/core
 	$(GO) test -run FuzzHierarchySerialization -fuzz FuzzHierarchySerialization -fuzztime 10s ./internal/hierarchy
 	$(GO) test -run FuzzScan -fuzz FuzzScan -fuzztime 10s ./internal/recordlog
 

@@ -111,10 +111,12 @@ func (at *ActiveTree) VisibleRoots() []navtree.NodeID {
 	return out
 }
 
-// Members returns the nodes of the component rooted at root, in ascending
-// node order (which is a pre-order of the component subtree). It exploits
-// the component invariant: once a descendant belongs to a different
-// component, its entire subtree does too, so the walk can prune there.
+// Members returns the nodes of the component rooted at root in DFS
+// pre-order, children in navigation order: root first, and every member
+// after its parent. That is not ascending ID order when sibling subtrees
+// interleave. It exploits the component invariant: once a descendant
+// belongs to a different component, its entire subtree does too, so the
+// walk can prune there.
 func (at *ActiveTree) Members(root navtree.NodeID) []navtree.NodeID {
 	if at.compOf[root] != root {
 		return nil

@@ -84,19 +84,18 @@ func (h *CachedHeuristic) ChooseCut(ctx context.Context, at *ActiveTree, root na
 func (h *CachedHeuristic) freshCut(ctx context.Context, at *ActiveTree, root navtree.NodeID) ([]Edge, error) {
 	h.Recomputes++
 	inner := &HeuristicReducedOpt{K: h.K, Model: h.Model}
-	ct, k, err := inner.reduce(at, root)
+	ct, sizes, err := inner.reduce(at, root)
 	if err != nil {
 		return nil, err
 	}
-	dpReducedNodes.Observe(float64(k))
+	dpReducedNodes.Observe(float64(ct.len()))
 	opt := newOptimizer(ct, h.Model)
 	cutNodes, _, err := opt.cutFor(ctx, 0, ct.descMask[0])
 	if err != nil {
 		return nil, err
 	}
-	sizes := supernodeSizes(at, root, ct)
 	p := &plan{at: at, ct: ct, opt: opt, idx: 0, mask: ct.descMask[0], sizes: sizes}
-	p.navSize = at.ComponentSize(root)
+	p.navSize = maskNavSize(p, p.mask)
 	h.registerChildren(p, root, cutNodes)
 	return mapCut(ct, cutNodes), nil
 }
@@ -155,34 +154,4 @@ func maskNavSize(p *plan, mask uint64) int {
 		}
 	}
 	return n
-}
-
-// supernodeSizes recovers each supernode's navigation-node count: the
-// reduced tree does not retain member lists, but supernode subtrees
-// partition the component, so sizes follow from DistinctUnder-style walks.
-func supernodeSizes(at *ActiveTree, root navtree.NodeID, ct *compTree) []int {
-	// subtreeNavSize(i) = nodes under NavEdge[i].Child within the component;
-	// supernode size = subtree size − Σ child-supernode subtree sizes.
-	subtree := make([]int, ct.len())
-	for i := 0; i < ct.len(); i++ {
-		top := root
-		if i > 0 {
-			top = ct.NavEdge[i].Child
-		}
-		n := 0
-		at.nav.PreOrder(top, func(m navtree.NodeID) bool {
-			if at.compOf[m] != root {
-				return false
-			}
-			n++
-			return true
-		})
-		subtree[i] = n
-	}
-	sizes := make([]int, ct.len())
-	copy(sizes, subtree)
-	for i := 1; i < ct.len(); i++ {
-		sizes[ct.Parent[i]] -= subtree[i]
-	}
-	return sizes
 }

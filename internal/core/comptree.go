@@ -38,7 +38,8 @@ type compTree struct {
 const maxOptNodes = 24
 
 // identityCompTree builds a compTree with one node per member of the
-// component rooted at root. members must be at.Members(root).
+// component rooted at root. members must list the component in pre-order,
+// as at.Members(root) does.
 func identityCompTree(at *ActiveTree, root navtree.NodeID, members []navtree.NodeID) (*compTree, error) {
 	if len(members) > maxOptNodes {
 		return nil, fmt.Errorf("core: component of %d nodes exceeds Opt-EdgeCut limit %d", len(members), maxOptNodes)
@@ -70,18 +71,11 @@ func identityCompTree(at *ActiveTree, root navtree.NodeID, members []navtree.Nod
 
 // partitionCompTree builds the reduced supernode tree T_R from a
 // k-partitioning of the component. parts must be ordered with the partition
-// containing the component root first and partition roots ascending (the
-// order kPartition produces), which guarantees Parent[i] < i.
+// containing the component root first and every partition after its parent
+// partition (the order kPartition produces), which guarantees Parent[i] < i.
 func partitionCompTree(at *ActiveTree, parts []partition) (*compTree, error) {
 	if len(parts) > maxOptNodes {
 		return nil, fmt.Errorf("core: %d partitions exceed Opt-EdgeCut limit %d", len(parts), maxOptNodes)
-	}
-	// Map every member node to its partition index.
-	partOf := make(map[navtree.NodeID]int)
-	for i, p := range parts {
-		for _, m := range p.members {
-			partOf[m] = i
-		}
 	}
 	ct := newCompTree(len(parts), at.SumScores())
 	nbits := at.nav.DistinctTotal()
@@ -99,17 +93,13 @@ func partitionCompTree(at *ActiveTree, parts []partition) (*compTree, error) {
 			ct.Parent[i] = -1
 			continue
 		}
-		navParent := at.nav.Parent(p.root)
-		pi, ok := partOf[navParent]
-		if !ok {
-			return nil, fmt.Errorf("core: partition %d root %d has parent outside component", i, p.root)
-		}
-		if pi >= i {
+		pi := p.parent
+		if pi < 0 || pi >= i {
 			return nil, fmt.Errorf("core: partition order violated: parent %d !< child %d", pi, i)
 		}
 		ct.Parent[i] = pi
 		ct.Children[pi] = append(ct.Children[pi], i)
-		ct.NavEdge[i] = Edge{Parent: navParent, Child: p.root}
+		ct.NavEdge[i] = Edge{Parent: at.nav.Parent(p.root), Child: p.root}
 	}
 	ct.computeDescMasks()
 	return ct, nil

@@ -103,11 +103,15 @@ func BenchmarkDistinctRootComponent(b *testing.B) {
 	}
 }
 
+// BenchmarkKPartition indexes the prothymosin-scale root component and
+// partitions it for k = 10, the reduction step of every Heuristic-ReducedOpt
+// EXPAND.
 func BenchmarkKPartition(b *testing.B) {
 	at := benchTree(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts := kPartition(at, at.Nav().Root(), 10)
+		parts := kPartition(newCompIndex(at, at.Nav().Root()), 10)
 		if len(parts) == 0 {
 			b.Fatal("no partitions")
 		}
@@ -117,6 +121,7 @@ func BenchmarkKPartition(b *testing.B) {
 func BenchmarkHeuristicChooseCut(b *testing.B) {
 	at := benchTree(b)
 	pol := NewHeuristicReducedOpt()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := pol.ChooseCut(context.Background(), at, at.Nav().Root()); err != nil {

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"testing"
+
+	"bionav/internal/navtree"
 )
 
 // FuzzOptEdgeCut drives the production child-factored DP differentially
@@ -192,6 +194,77 @@ func FuzzOptEdgeCut(f *testing.F) {
 				if i != j && ct.descMask[a]&(1<<uint(b)) != 0 {
 					t.Fatalf("cut %v is not an antichain: %d contains %d", cut, a, b)
 				}
+			}
+		}
+	})
+}
+
+// FuzzKPartition drives the production kPartition differentially against
+// the retained recursive oracle (partition_reference_test.go) on arbitrary
+// active trees: after an optional EXPAND that splits the tree, every
+// visible component must partition identically — same roots, members,
+// order and parent links. Seed corpus entries under
+// testdata/fuzz/FuzzKPartition cover a chain, a star, a skewed root that
+// takes the single-cluster fallback, and a split bushy tree.
+//
+// Byte layout (missing bytes read as zero, so every input decodes):
+//
+//	data[0]        tree size n = 2 + data[0]%40
+//	data[1]        partition budget k = data[1]%12 (0 and 1 clamp to 1)
+//	data[2]        EXPAND mask: the root component is expanded at every
+//	               navigation node v whose bit v%8 is set and no ancestor
+//	               of which is cut (0 = no EXPAND)
+//	n-1 bytes      parent of node i = byte%i (topological order holds)
+//	n bytes        node i's results: bit b set attaches citation 8·(i%8)+b
+func FuzzKPartition(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		at := func(i int) byte {
+			if i < len(data) {
+				return data[i]
+			}
+			return 0
+		}
+		n := 2 + int(at(0))%40
+		k := int(at(1)) % 12
+		mask := at(2)
+		pos := 3
+		parents := make([]int, n)
+		parents[0] = -1
+		for i := 1; i < n; i++ {
+			parents[i] = int(at(pos)) % i
+			pos++
+		}
+		results := make([][]int, n)
+		for i := 0; i < n; i++ {
+			b := at(pos)
+			pos++
+			for bit := 0; bit < 8; bit++ {
+				if b&(1<<bit) != 0 {
+					results[i] = append(results[i], 8*(i%8)+bit)
+				}
+			}
+		}
+		tree := buildActiveTree(t, parents, results, nil)
+		nav := tree.Nav()
+		root := nav.Root()
+		if mask != 0 {
+			var cut []Edge
+			nav.PreOrder(root, func(v navtree.NodeID) bool {
+				if v != root && mask&(1<<(v%8)) != 0 {
+					cut = append(cut, Edge{Parent: nav.Parent(v), Child: v})
+					return false
+				}
+				return true
+			})
+			if len(cut) > 0 {
+				if _, err := tree.Expand(root, cut); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, r := range tree.VisibleRoots() {
+			if msg := kPartitionMismatch(tree, r, k); msg != "" {
+				t.Fatalf("component %d (%d nodes), k=%d: %s", r, tree.ComponentSize(r), k, msg)
 			}
 		}
 	})

@@ -48,12 +48,12 @@ func (h *HeuristicReducedOpt) ChooseCut(ctx context.Context, at *ActiveTree, roo
 	sp := obs.FromContext(ctx).StartChild("choose_cut")
 	defer sp.End()
 	sp.SetAttr("policy", h.Name())
-	ct, k, err := h.reduce(at, root)
+	ct, _, err := h.reduce(at, root)
 	if err != nil {
 		return nil, err
 	}
-	dpReducedNodes.Observe(float64(k))
-	sp.SetAttr("reduced_nodes", k)
+	dpReducedNodes.Observe(float64(ct.len()))
+	sp.SetAttr("reduced_nodes", ct.len())
 	cutNodes, _, err := optEdgeCut(ctx, ct, h.Model)
 	if err != nil {
 		return nil, err
@@ -80,29 +80,38 @@ func (h *HeuristicReducedOpt) ExpectedCost(at *ActiveTree, root navtree.NodeID) 
 // without committing to a cut; used by the Fig. 11 experiment, which
 // correlates per-EXPAND latency with |T_R|.
 func (h *HeuristicReducedOpt) LastReducedSize(at *ActiveTree, root navtree.NodeID) (int, error) {
-	_, n, err := h.reduce(at, root)
-	return n, err
+	_, sizes, err := h.reduce(at, root)
+	return len(sizes), err
 }
 
-func (h *HeuristicReducedOpt) reduce(at *ActiveTree, root navtree.NodeID) (*compTree, int, error) {
+// reduce builds the tree Opt-EdgeCut runs on for the component rooted at
+// root, indexing the component once, and reports each reduced node's
+// navigation-node count.
+func (h *HeuristicReducedOpt) reduce(at *ActiveTree, root navtree.NodeID) (*compTree, []int, error) {
 	if at.ComponentOf(root) != root {
-		return nil, 0, fmt.Errorf("core: %s: node %d is not a component root", h.Name(), root)
+		return nil, nil, fmt.Errorf("core: %s: node %d is not a component root", h.Name(), root)
 	}
-	members := at.Members(root)
-	if len(members) < 2 {
-		return nil, 0, fmt.Errorf("core: %s: component %d has no internal edges", h.Name(), root)
+	ix := newCompIndex(at, root)
+	n := len(ix.nodes)
+	if n < 2 {
+		return nil, nil, fmt.Errorf("core: %s: component %d has no internal edges", h.Name(), root)
 	}
-	k := h.K
-	if k < 2 {
-		k = 2
+	k := max(h.K, 2)
+	if n <= k {
+		sizes := make([]int, n)
+		for i := range sizes {
+			sizes[i] = 1
+		}
+		ct, err := identityCompTree(at, root, ix.nodes)
+		return ct, sizes, err
 	}
-	if len(members) <= k {
-		ct, err := identityCompTree(at, root, members)
-		return ct, len(members), err
+	parts := kPartition(ix, k)
+	sizes := make([]int, len(parts))
+	for i, p := range parts {
+		sizes[i] = len(p.members)
 	}
-	parts := kPartition(at, root, k)
 	ct, err := partitionCompTree(at, parts)
-	return ct, len(parts), err
+	return ct, sizes, err
 }
 
 // OptEdgeCutPolicy runs Opt-EdgeCut directly on the component without
