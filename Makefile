@@ -96,18 +96,19 @@ ingest-test:
 	$(GO) test -race -run 'Ingest|Snapshot|Epoch|CitationCodec|OpenLive|LastWin|TornTail|Delta|Apply' \
 		./internal/store ./internal/index ./internal/corpus ./internal/navtree ./internal/server
 
-# Load-harness gate: the fixed-seed open-loop smoke (nonzero successes,
-# zero unexpected failures against an in-process server), the session
-# trace determinism proof, the sweep's client/server cross-check, and the
-# drain-shed contract pin — all raced (docs/LOADGEN.md).
+# Load-harness gate: the self-hosted sweep, the sweep's client/server
+# cross-check, the drain-shed and bare-503 contract pins, the stop-at-
+# first-failure knee, and the seeded schedule, plus the navbench/harness
+# user model, open-loop driver and knee rule they run on — all raced
+# (docs/LOADGEN.md).
 load-test:
-	$(GO) test -race ./internal/loadgen ./cmd/bionav-loadgen
+	$(GO) test -race ./cmd/bionav-loadgen ./navbench/harness
 
-# Record a capacity curve: self-hosted Table I workload server, three
-# geometric offered-load steps, BENCH_load.json out — then validate its
-# bionav-load/v1 schema.
+# Record a capacity curve: self-hosted Table I workload server, up to
+# three offered-load steps doubling from 4 sessions/s, BENCH_load.json
+# out — then validate its bionav-load/v1 schema.
 load-bench:
-	$(GO) run ./cmd/bionav-loadgen -scale small -seed 2009 -rate 4 -rate-factor 2 \
+	$(GO) run ./cmd/bionav-loadgen -scale small -seed 2009 -rate 4 \
 		-steps 3 -step-duration 2s -think 20ms -actions 5 -out BENCH_load.json
 	$(GO) run ./cmd/bionav-benchcheck BENCH_load.json
 

@@ -14,7 +14,7 @@
 // capacity curves bionav-loadgen emits) are additionally validated
 // against that schema: >= 3 step records with strictly increasing
 // offered rates, client quantiles, server counter deltas, full outcome
-// accounting, and exactly one knee record.
+// accounting, and exactly one knee record carrying found and lowerBound.
 package main
 
 import (
@@ -98,7 +98,7 @@ func checkJSONL(r io.Reader) (int, []map[string]json.RawMessage, []error) {
 }
 
 // loadSchema is the capacity-curve schema bionav-loadgen emits
-// (internal/loadgen/report.go).
+// (cmd/bionav-loadgen, writeReport).
 const loadSchema = "bionav-load/v1"
 
 // isLoadReport detects the schema marker on the first line.
@@ -114,7 +114,8 @@ func isLoadReport(objs []map[string]json.RawMessage) bool {
 // checkLoadV1 validates the shape of a bionav-load/v1 capacity curve: at
 // least three step records carrying client quantiles, server deltas, and
 // full outcome accounting, offered rates strictly increasing, and exactly
-// one knee record.
+// one knee record that says whether a knee was found and whether it is
+// only a lower bound (no step failed).
 func checkLoadV1(objs []map[string]json.RawMessage) []error {
 	var errs []error
 	steps, knees := 0, 0
@@ -157,8 +158,10 @@ func checkLoadV1(objs []map[string]json.RawMessage) []error {
 			}
 		case "knee":
 			knees++
-			if _, ok := obj["found"]; !ok {
-				errs = append(errs, fmt.Errorf("line %d: knee record missing found", lineno))
+			for _, k := range []string{"found", "lowerBound"} {
+				if _, ok := obj[k]; !ok {
+					errs = append(errs, fmt.Errorf("line %d: knee record missing %s", lineno, k))
+				}
 			}
 		default:
 			errs = append(errs, fmt.Errorf("line %d: unknown record %q", lineno, record))

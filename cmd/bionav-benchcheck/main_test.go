@@ -92,7 +92,7 @@ func loadReport(t *testing.T, steps int, withKnee bool) string {
 		fmt.Fprintf(&b, loadStepTmpl+"\n", i, float64(2*(i+1)))
 	}
 	if withKnee {
-		b.WriteString(`{"record":"knee","found":true,"step":2,"rate":8,"p99Ms":3,"shedRate":0}` + "\n")
+		b.WriteString(`{"record":"knee","found":true,"lowerBound":true,"step":2,"rate":8,"p99Ms":3,"shedRate":0}` + "\n")
 	}
 	return b.String()
 }
@@ -126,13 +126,26 @@ func TestLoadSchemaMissingKnee(t *testing.T) {
 	}
 }
 
+// A knee record must say whether it is only a lower bound.
+func TestLoadSchemaKneeWithoutLowerBound(t *testing.T) {
+	bad := strings.ReplaceAll(loadReport(t, 3, true), `"lowerBound":true,`, "")
+	p := writeFile(t, "load.json", bad)
+	var out bytes.Buffer
+	if err := run([]string{p}, &out); err == nil {
+		t.Fatal("knee record without lowerBound accepted")
+	}
+	if !strings.Contains(out.String(), "knee record missing lowerBound") {
+		t.Fatalf("output = %q", out.String())
+	}
+}
+
 func TestLoadSchemaNonIncreasingRate(t *testing.T) {
 	var b strings.Builder
 	b.WriteString(`{"schema":"bionav-load/v1"}` + "\n")
 	for i := 0; i < 3; i++ {
 		fmt.Fprintf(&b, loadStepTmpl+"\n", i, 5.0) // flat offered rate
 	}
-	b.WriteString(`{"record":"knee","found":false,"step":0,"rate":0,"p99Ms":0,"shedRate":0}` + "\n")
+	b.WriteString(`{"record":"knee","found":false,"lowerBound":false,"step":0,"rate":0,"p99Ms":0,"shedRate":0}` + "\n")
 	p := writeFile(t, "load.json", b.String())
 	var out bytes.Buffer
 	if err := run([]string{p}, &out); err == nil {

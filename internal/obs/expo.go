@@ -14,8 +14,8 @@ import (
 // Prometheus text format WritePrometheus emits, and a MetricsSnapshot
 // value supporting point lookups, family aggregation, bucket-quantile
 // estimation, and before/after deltas. The load harness
-// (internal/loadgen) scrapes a server's /metrics around each offered-load
-// step and pairs the counter deltas with its own client-side
+// (cmd/bionav-loadgen) scrapes a server's /metrics around each
+// offered-load step and pairs the counter deltas with its own client-side
 // measurements; tests use the same API to assert on scraped state
 // without string matching.
 
