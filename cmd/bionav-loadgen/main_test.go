@@ -154,6 +154,32 @@ func testTarget(t *testing.T, wrap func(http.Handler) http.Handler) (*server.Ser
 	return srv, ts.URL, strings.Join(pool, ",")
 }
 
+// TestLoadgenSmoke is the `make load-test` gate: one fixed-seed open-loop
+// step against an in-process server must complete with successful
+// requests and no unexpected failures.
+func TestLoadgenSmoke(t *testing.T) {
+	_, url, pool := testTarget(t, nil)
+	rep := sweepReport(t, "-addr", url, "-queries", pool, "-seed", "42",
+		"-rate", "30", "-steps", "1", "-step-duration", "300ms", "-think", "2ms", "-actions", "4",
+		"-slo-p99", "10s", "-max-shed-rate", "1")
+	if len(rep.Steps) != 1 {
+		t.Fatalf("got %d steps, want 1", len(rep.Steps))
+	}
+	s := rep.Steps[0]
+	if s.Sessions == 0 {
+		t.Fatal("no sessions launched")
+	}
+	if s.Requests.OK == 0 {
+		t.Fatalf("no successful requests: %+v", s.Requests)
+	}
+	if s.Requests.Error != 0 || s.Requests.Timeout != 0 || s.Aborted != 0 {
+		t.Fatalf("unexpected failures: %+v, %d sessions aborted", s.Requests, s.Aborted)
+	}
+	if s.Client.P99Ms <= 0 || s.Client.AchievedRps <= 0 {
+		t.Fatalf("client p99 = %vms, achieved rps = %v; want both positive", s.Client.P99Ms, s.Client.AchievedRps)
+	}
+}
+
 // TestSweepCrossChecksServer runs a small sweep and verifies the two
 // sides of the measurement agree: the server's /api/ request-counter
 // delta equals the client's request total whenever no client-side
